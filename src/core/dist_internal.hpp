@@ -115,8 +115,23 @@ class DistRank {
   std::uint64_t broadcast_delegates_exact();
   /// Apply globally-agreed hub decisions to the local tables.
   std::uint64_t apply_hub_winners(const std::vector<HubProposal>& winners);
-  /// Phase 3: Alg. 3 boundary swap + exact home-based stat aggregation.
+  /// Phase 3: Alg. 3 boundary swap + exact home-based stat aggregation,
+  /// shipping only the module partials that changed since the last swap.
   void swap_boundary_info();
+  /// Optimistic write to the local module table (move commits, hub winners,
+  /// boundary-record inserts, async deltas, level-start singletons). Logs
+  /// the entry's prior value so the next whole-module swap can restore the
+  /// last authoritative table before applying the homes' replies.
+  ModuleStats& write_module(ModuleId m);
+  /// Visit the live modules homed here (exact statistics, num_members > 0)
+  /// in ascending module id.
+  template <typename F>
+  void for_each_homed(F&& f) const {
+    const auto p = static_cast<ModuleId>(comm_.size());
+    const auto r = static_cast<ModuleId>(comm_.rank());
+    for (std::size_t j = 0; j < home_stats_.size(); ++j)
+      if (home_stats_[j].num_members > 0) f(j * p + r, home_stats_[j]);
+  }
   /// Phase 4: adopt authoritative stats, allreduce L and movement counts.
   std::uint64_t other_update(std::uint64_t local_moves, std::uint64_t hub_moves);
 
@@ -182,7 +197,7 @@ class DistRank {
   /// priority-ordered local drains + one packed delta exchange each, with a
   /// full reconciliation every `async_max_lag` epochs. Returns the global
   /// move count of the level and reports the number of reconciliations in
-  /// `recons_out`; on return the usual post-level state (exact homed_ stats,
+  /// `recons_out`; on return the usual post-level state (exact home stats,
   /// exact L) is in place, as after a synchronous round loop.
   std::uint64_t async_level(bool with_delegates, int& recons_out);
   /// Push/raise `li` on the worklist with priority `prio` (lazy deletion:
@@ -310,6 +325,14 @@ class DistRank {
   util::SparseAccumulator<ModuleId, NeighborFlow> nbflow_;
   /// Reusable per-module partial-stat scratch for swap_boundary_info.
   util::SparseAccumulator<ModuleId, ModulePartial> partial_acc_;
+  /// The partials this rank last shipped to their homes, one per module it
+  /// referenced at the previous swap (swapped with partial_acc_ after each
+  /// send; cleared at every level start so the first swap ships everything).
+  util::SparseAccumulator<ModuleId, ModulePartial> shipped_;
+  /// swap_boundary_info isSent dedup: sent_stamp_[m] == sent_epoch_ marks a
+  /// module whose statistics already went to the destination being built.
+  std::vector<std::uint64_t> sent_stamp_;
+  std::uint64_t sent_epoch_ = 0;
   PlogpMemo plogp_memo_;
 
   /// Intra-rank worker pool (threads_per_rank > 1; null selects the exact
@@ -374,11 +397,6 @@ class DistRank {
   /// q_total_ at the last evaluation (the margin is only valid against
   /// bounded q drift; see can_prune).
   std::vector<double> last_q_;
-  /// Pre-swap module table kept for the refresh diff: whole_module_swap
-  /// replaces the table wholesale, and only entries that actually changed
-  /// bitwise may stamp (otherwise every module would reactivate every round
-  /// and the fast path would never prune).
-  util::FlatMap<ModuleId, ModuleStats> prev_modules_;
   std::uint64_t pruned_round_ = 0;  ///< active-set skips this round
 
   // ---- async worklist state (cfg_.async) ----------------------------------
@@ -403,11 +421,29 @@ class DistRank {
   /// subscribers_[li] = ranks reading vertex li (owned vertices only).
   std::unordered_map<std::uint32_t, std::vector<int>> subscribers_;
 
-  /// Exact stats of modules homed here (refreshed each swap) — the merge and
-  /// codelength inputs.
-  std::unordered_map<ModuleId, ModuleStats> homed_;
-  /// Ranks interested in each homed module (senders of partials).
-  std::unordered_map<ModuleId, std::vector<int>> homed_interest_;
+  /// Optimistic module-table writes since the last swap, oldest first:
+  /// (module, value before the write, whether the entry existed).
+  struct ModuleWrite {
+    ModuleId mod = 0;
+    ModuleStats before;
+    bool existed = false;
+  };
+  std::vector<ModuleWrite> module_writes_;
+
+  /// Home table of this level, dense in slot j = m / p for the modules
+  /// m = j·p + rank homed here. home_stats_[j] holds the exact statistics
+  /// (the merge and codelength inputs); home_partials_[j·p + src] the partial
+  /// rank src last shipped for that module. Sized at the level's first swap.
+  struct SourcePartial {
+    double sum_pr = 0;
+    double exit_pr = 0;
+    std::int32_t num_members = 0;
+    std::uint8_t held = 0;       ///< src references the module
+    std::uint8_t new_held = 0;   ///< ... and started to at this swap
+  };
+  std::vector<ModuleStats> home_stats_;
+  std::vector<SourcePartial> home_partials_;
+  std::vector<std::uint8_t> home_touched_;  ///< per slot, this swap only
 
   /// Level-0 vertices owned by this rank and their current coarse vertex.
   std::vector<VertexId> owned0_;

@@ -32,7 +32,6 @@ DistRank::DistRank(comm::Comm& comm, const partition::ArcPartition& part,
       cfg_.module_table_max_load_pct < 100) {
     const auto pct = static_cast<std::size_t>(cfg_.module_table_max_load_pct);
     modules_.set_max_load(pct, 100);
-    prev_modules_.set_max_load(pct, 100);
   }
   // Event-clock activity tracking feeds both the active-set fast path and
   // the async worklist; off (the default) every stamp site is a dead branch.
@@ -209,7 +208,14 @@ void DistRank::setup_subscriptions() {
 }
 
 void DistRank::init_singleton_modules() {
+  // Module ids are this level's vertex ids: nothing of the previous level's
+  // module table, shipped partials or home table carries over.
   modules_.clear();
+  module_writes_.clear();
+  shipped_.clear();
+  home_stats_.clear();
+  home_partials_.clear();
+  home_touched_.clear();
   dirty_owned_.clear();
   round_index_ = 0;
   if (track_activity_) {
@@ -220,19 +226,18 @@ void DistRank::init_singleton_modules() {
     assign_stamp_.clear();
     stat_stamp_.clear();
     last_eval_.clear();
-    prev_modules_.clear();
     worklist_.reset(0);
     dirty_flag_.clear();
     ghost_readers_.clear();
   }
+  // Local estimates until the level's first swap replaces them.
   for (auto& lv : verts_) {
     lv.module = lv.global;
     if (lv.kind == Kind::kGhost) continue;
-    ModuleStats stats;
+    ModuleStats& stats = write_module(static_cast<ModuleId>(lv.global));
     stats.sum_pr = lv.node_flow;
     stats.exit_pr = lv.out_flow;
     stats.num_members = 1;
-    modules_.emplace(static_cast<ModuleId>(lv.global), stats);
   }
 }
 

@@ -61,8 +61,11 @@ struct HubFlowRecord {
 
 /// Partial module statistics flowing to the module's home rank for exact
 /// aggregation; a zero partial doubles as an "I need this module's info"
-/// subscription.
+/// subscription. A rank ships a partial only when it differs from the one it
+/// shipped last; `num_members == kRetract` withdraws the sender's partial
+/// (no local vertex references the module any more).
 struct ModulePartial {
+  static constexpr std::int32_t kRetract = -1;
   ModuleId mod_id = 0;
   double sum_pr = 0;
   double exit_pr = 0;

@@ -5,10 +5,11 @@
 // bucket-pointer chase plus an allocation per insert. Slots live in one
 // contiguous array, so a probe is one cache line in the common case.
 //
-// Not a general container: no erase (the algorithms only ever clear whole
-// tables between rounds), keys are value types, and iteration order is slot
-// order (callers that need deterministic order must sort — the hot paths never
-// iterate). See DESIGN.md "Hot-path data structures".
+// Not a general container: keys are value types, erase is backward-shift
+// (no tombstones, so lookups stay as short as in an insert-only table), and
+// iteration order is slot order (callers that need deterministic order must
+// sort — the hot paths never iterate). See DESIGN.md "Hot-path data
+// structures".
 #pragma once
 
 #include <cstddef>
@@ -130,6 +131,29 @@ class FlatMap {
       ++size_;
     }
     return {iterator{s, slots_.data() + slots_.size()}, inserted};
+  }
+
+  /// Remove `key` if present; returns whether an entry was removed. Later
+  /// entries of the probe run shift back into the hole unless their home
+  /// slot lies cyclically in (hole, entry], so every remaining key stays
+  /// reachable from its home slot without tombstones.
+  bool erase(K key) {
+    Slot* s = locate(key);
+    if (s == nullptr || !s->used) return false;
+    const std::size_t mask = slots_.size() - 1;
+    auto hole = static_cast<std::size_t>(s - slots_.data());
+    for (std::size_t i = (hole + 1) & mask; slots_[i].used; i = (i + 1) & mask) {
+      const std::size_t home =
+          static_cast<std::size_t>(mix(slots_[i].first) >> shift_) & mask;
+      const bool stays =
+          hole < i ? (hole < home && home <= i) : (hole < home || home <= i);
+      if (stays) continue;
+      slots_[hole] = std::move(slots_[i]);
+      hole = i;
+    }
+    slots_[hole].used = false;
+    --size_;
+    return true;
   }
 
   /// Hash mix, exposed so tests can construct collision-heavy key sets.

@@ -192,6 +192,20 @@ TEST(Dlint, OrderDirGatingScopesUnorderedIter) {
   EXPECT_EQ(count_rule(r.output, "unordered-iter"), 0u) << r.output;
 }
 
+TEST(Dlint, ContainersDeclaredInSiblingHeadersAreTracked) {
+  // sibling_fire.cpp iterates two unordered members it never declares: one
+  // from its sibling header, one from an *_internal.hpp it includes. Only the
+  // .cpp is passed; dlint must find both headers itself.
+  const RunResult r = run_dlint("--root " DLINT_FIXTURES
+                                " --order-dirs order_sensitive"
+                                " fixtures/order_sensitive/sibling_fire.cpp");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(count_rule(r.output, "unordered-iter"), 2u) << r.output;
+  EXPECT_EQ(count_rule(r.output, "float-accum-order"), 2u) << r.output;
+  EXPECT_NE(r.output.find("'balances_'"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("'seen_'"), std::string::npos) << r.output;
+}
+
 TEST(Dlint, JsonModeParses) {
   const RunResult r = run_dlint("--json " + fixtures_args());
   EXPECT_EQ(r.exit_code, 1) << r.output;

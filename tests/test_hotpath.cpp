@@ -208,6 +208,62 @@ TEST(FlatMap, AgreesWithUnorderedMapUnderRandomWorkload) {
   for (const auto& [k, v] : ref) EXPECT_DOUBLE_EQ(m.find(k)->second, v);
 }
 
+TEST(FlatMap, EraseAgreesWithUnorderedMapUnderRandomWorkload) {
+  // Small key range on a table that never shrinks: long probe runs that
+  // wrap around the slot array, so backward-shift deletion is exercised on
+  // both sides of the wrap point.
+  du::FlatMap<std::uint64_t, std::uint64_t> m;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  du::Xoshiro256 rng(91);
+  for (int op = 0; op < 40000; ++op) {
+    const std::uint64_t k = rng.bounded(200);
+    const double u = rng.uniform();
+    if (u < 0.45) {
+      m[k] += static_cast<std::uint64_t>(op);
+      ref[k] += static_cast<std::uint64_t>(op);
+    } else if (u < 0.9) {
+      EXPECT_EQ(m.erase(k), ref.erase(k) == 1) << "key " << k;
+    } else {
+      ASSERT_EQ(m.size(), ref.size());
+      for (std::uint64_t q = 0; q < 200; ++q) {
+        auto it = m.find(q);
+        auto rit = ref.find(q);
+        ASSERT_EQ(it == m.end(), rit == ref.end()) << "key " << q;
+        if (rit != ref.end()) {
+          EXPECT_EQ(it->second, rit->second);
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatMap, EraseKeepsCollidingKeysReachable) {
+  // Keys that share one home slot form a single probe run; erasing from its
+  // head, middle and tail must leave every other member findable.
+  // Equal top-16 bits of mix(key) collide at every capacity up to 65536.
+  using M = du::FlatMap<std::uint64_t, std::uint64_t>;
+  const std::uint64_t want = M::mix(1) >> 48;
+  std::vector<std::uint64_t> same;
+  for (std::uint64_t k = 1; same.size() < 6 && k < 40'000'000; ++k)
+    if ((M::mix(k) >> 48) == want) same.push_back(k);
+  ASSERT_EQ(same.size(), 6u) << "collision search too narrow";
+  M m;
+  for (auto k : same) m[k] = k + 1;
+  for (std::size_t victim : {std::size_t{0}, std::size_t{3}, std::size_t{5}}) {
+    EXPECT_TRUE(m.erase(same[victim]));
+    EXPECT_FALSE(m.erase(same[victim]));
+  }
+  EXPECT_EQ(m.size(), 3u);
+  for (std::size_t i = 0; i < same.size(); ++i) {
+    const bool erased = i == 0 || i == 3 || i == 5;
+    auto it = m.find(same[i]);
+    ASSERT_EQ(it == m.end(), erased) << "member " << i;
+    if (!erased) {
+      EXPECT_EQ(it->second, same[i] + 1);
+    }
+  }
+}
+
 TEST(FlatMap, RehashCounterTracksGrowthOnly) {
   du::FlatMap<std::uint64_t, int> m;
   EXPECT_EQ(m.rehashes(), 0u);

@@ -37,6 +37,10 @@
 //                     between the pair leaks the lock.
 //   float-accum-order `+=` inside a loop iterating an unordered container
 //                     (any dir) — the classic hash-order FP reduction.
+//                     Both rules track containers declared in the scanned
+//                     file, its sibling header (foo.cpp -> foo.hpp) and the
+//                     same-directory *_internal.hpp headers it includes, so
+//                     class members declared away from their loops count.
 //   sleep-sync        sleep_for/sleep_until outside fault-injection stalls
 //                     and timer tests — a sleep standing in for
 //                     synchronization hides a race behind timing.
@@ -505,6 +509,38 @@ bool load_source(const std::string& path, std::vector<std::string>& raw,
   return true;
 }
 
+/// Headers whose declarations a source file's loops can reach without
+/// declaring them itself: its sibling header (foo.cpp -> foo.hpp / foo.h)
+/// and every *_internal.hpp of its own directory that it #includes. Class
+/// members declared there (e.g. a rank's unordered per-module tables) would
+/// otherwise be invisible to the per-file container scan.
+std::vector<fs::path> sibling_headers(const std::string& path,
+                                      const std::vector<std::string>& raw) {
+  std::vector<fs::path> out;
+  const fs::path self(path);
+  const std::string ext = self.extension().string();
+  if (ext != ".cpp" && ext != ".cc" && ext != ".cxx") return out;
+  std::error_code ec;
+  const auto add = [&](const fs::path& h) {
+    if (fs::is_regular_file(h, ec) &&
+        std::find(out.begin(), out.end(), h) == out.end())
+      out.push_back(h);
+  };
+  for (const char* hext : {".hpp", ".h"})
+    add(fs::path(self).replace_extension(hext));
+  static const std::regex include_re(R"re(^\s*#\s*include\s*"([^"]+)")re");
+  const std::string suffix = "_internal.hpp";
+  for (const auto& line : raw) {
+    std::smatch m;
+    if (!std::regex_search(line, m, include_re)) continue;
+    const std::string name = fs::path(m[1].str()).filename().string();
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0)
+      add(self.parent_path() / name);
+  }
+  return out;
+}
+
 void scan_file(const std::string& display_path, const Options& opt,
                std::vector<Finding>& findings, std::size_t& io_errors) {
   std::vector<std::string> raw, code;
@@ -574,7 +610,14 @@ void scan_file(const std::string& display_path, const Options& opt,
   }
 
   // ---- unordered-iter & float-accum-order -------------------------------
-  const std::vector<std::string> names = unordered_names(code);
+  std::vector<std::string> names = unordered_names(code);
+  for (const fs::path& header : sibling_headers(display_path, raw)) {
+    std::vector<std::string> hraw, hcode;
+    if (!load_source(header.string(), hraw, hcode)) continue;
+    for (std::string& n : unordered_names(hcode))
+      if (std::find(names.begin(), names.end(), n) == names.end())
+        names.push_back(std::move(n));
+  }
   if (!names.empty()) {
     const bool order_sensitive =
         std::any_of(opt.order_dirs.begin(), opt.order_dirs.end(),
