@@ -16,8 +16,8 @@
 // SchedHooks vtable installed at runtime.
 //
 // Seeded mutations: dcheck validates each harness by re-introducing a known
-// bug (e.g. the PR 6 nested run_inline slot_seconds_ race) behind
-// mutation_enabled("name"). Mutation code is compiled only under
+// bug (e.g. a nested run_inline pass racing the outer workers on errors_)
+// behind mutation_enabled("name"). Mutation code is compiled only under
 // DINFOMAP_DCHECK and is dead unless the checker turns the named mutation on.
 #pragma once
 

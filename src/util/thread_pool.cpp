@@ -3,14 +3,12 @@
 #include <algorithm>
 
 #include "util/sched_point.hpp"
-#include "util/timer.hpp"
 
 namespace dinfomap::util {
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)),
-      errors_(static_cast<std::size_t>(num_threads_)),
-      slot_seconds_(static_cast<std::size_t>(num_threads_), 0.0) {
+      errors_(static_cast<std::size_t>(num_threads_)) {
 #if defined(DINFOMAP_DCHECK)
   dcheck_modeled_ = dcheck::modeled();
 #endif
@@ -39,33 +37,31 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run_inline(const std::function<void(int)>& fn) {
 #if defined(DINFOMAP_DCHECK)
-  if (dcheck::mutation_enabled("threadpool.nested-slot-seconds")) {
-    // Seeded mutation: the PR 6 race, re-introduced for the dcheck harness.
-    // A nested inline dispatch recorded per-slot times while the *outer*
-    // dispatch's workers still owned their slot_seconds_ entries — two
-    // unordered writes to the same element.
+  if (dcheck::mutation_enabled("threadpool.nested-errors-reset")) {
+    // Seeded mutation for the dcheck harness: a nested inline dispatch
+    // writing per-slot state the *outer* dispatch's workers still own (the
+    // pool once had this race on per-slot timings). Resetting errors_ like a
+    // top-level dispatch races with an outer worker capturing its exception
+    // — and can drop that exception.
     for (int slot = 0; slot < num_threads_; ++slot) {
-      Timer t;
-      fn(slot);
       const auto s = static_cast<std::size_t>(slot);
-      DI_SCHED_STORE(&slot_seconds_[s], "ThreadPool.slot_seconds");
-      slot_seconds_[s] = t.seconds();
+      DI_SCHED_STORE(&errors_[s], "ThreadPool.errors");
+      errors_[s] = nullptr;
+      fn(slot);
     }
     return;
   }
 #endif
   // Nested dispatch only: the outer job's workers are still running and
-  // still own their slot_seconds_ entries, so record no per-slot times here
-  // — the nested work is timed as part of the enclosing slot's measurement.
+  // still own their errors_ entries, so touch no per-slot state here — an
+  // exception propagates to the enclosing slot, which captures it.
   for (int slot = 0; slot < num_threads_; ++slot) fn(slot);
 }
 
 void ThreadPool::run_slots(const std::function<void(int)>& fn) {
   dispatches_.fetch_add(1, std::memory_order_relaxed);
   if (num_threads_ == 1) {
-    Timer t;
     fn(0);
-    slot_seconds_[0] = t.seconds();
     return;
   }
   // Nested dispatch (a slot re-entering the pool) would wait on workers that
@@ -85,15 +81,10 @@ void ThreadPool::run_slots(const std::function<void(int)>& fn) {
   }
   start_cv_.notify_all();
 
-  {
-    Timer t;
-    try {
-      fn(0);
-    } catch (...) {
-      errors_[0] = std::current_exception();
-    }
-    DI_SCHED_STORE(&slot_seconds_[0], "ThreadPool.slot_seconds");
-    slot_seconds_[0] = t.seconds();
+  try {
+    fn(0);
+  } catch (...) {
+    errors_[0] = std::current_exception();
   }
 
   {
@@ -138,15 +129,13 @@ void ThreadPool::worker_loop_body(int slot) {
       seen = generation_;
       job = job_;
     }
-    Timer t;
     try {
       (*job)(slot);
     } catch (...) {
+      DI_SCHED_STORE(&errors_[static_cast<std::size_t>(slot)],
+                     "ThreadPool.errors");
       errors_[static_cast<std::size_t>(slot)] = std::current_exception();
     }
-    DI_SCHED_STORE(&slot_seconds_[static_cast<std::size_t>(slot)],
-                   "ThreadPool.slot_seconds");
-    slot_seconds_[static_cast<std::size_t>(slot)] = t.seconds();
     {
       MutexLock lock(mutex_);
       --pending_;

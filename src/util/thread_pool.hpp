@@ -1,4 +1,6 @@
-// Deterministic intra-rank thread parallelism for the O(V+E) hot loops.
+// Deterministic thread parallelism for the O(V+E) hot loops of the
+// sequential baselines (seq Infomap, Louvain, RelaxMap; the distributed
+// engine runs one thread per rank).
 //
 // A ThreadPool owns `num_threads - 1` persistent workers (the calling thread
 // always executes slot 0), dispatched with *static* slot assignment: every
@@ -9,10 +11,8 @@
 // are merged in slot order replays the exact serial iteration (and hence
 // floating-point accumulation) order, for any thread count.
 //
-// The pool is rank-local — with ranks-as-threads (comm::Runtime), a p-rank
-// run with t threads per rank holds p pools of t-1 workers each. Workers are
-// reused across rounds and levels; one dispatch costs two mutex handoffs,
-// which is noise against the O(V/p + E/p) chunks it carries.
+// Workers are reused across passes and levels; one dispatch costs two mutex
+// handoffs, which is noise against the O(V + E) chunks it carries.
 //
 // Exceptions thrown inside a slot are captured and rethrown on the calling
 // thread (lowest slot wins) after all slots finish. Nested use from inside a
@@ -62,12 +62,6 @@ class ThreadPool {
     });
   }
 
-  /// Wall seconds each slot spent in the most recent run_slots invocation
-  /// (imbalance diagnostics for the flight recorder).
-  [[nodiscard]] const std::vector<double>& last_slot_seconds() const {
-    return slot_seconds_;
-  }
-
   /// Cumulative run_slots invocations (each dispatches num_threads tasks).
   [[nodiscard]] std::uint64_t dispatches() const {
     return dispatches_.load(std::memory_order_relaxed);
@@ -94,12 +88,11 @@ class ThreadPool {
   /// re-enters the pool runs inline instead of deadlocking on its own job.
   util::Atomic<bool> active_{false};
 
-  /// Per-slot outputs, intentionally outside mutex_: each slot writes only
+  /// Per-slot output, intentionally outside mutex_: each slot writes only
   /// its own element, and the dispatch handshake (generation bump →
   /// pending_ drain, both under mutex_) orders those writes against the
   /// caller's reads.
   std::vector<std::exception_ptr> errors_;  ///< per slot
-  std::vector<double> slot_seconds_;        ///< per slot, last dispatch
   /// Atomic because a nested dispatch increments it from inside a running
   /// slot, concurrently with nothing else *except* another nesting slot.
   util::Atomic<std::uint64_t> dispatches_{0};

@@ -692,6 +692,10 @@ TEST(RunReport, SwapCountersShowTheIncrementalExchange) {
   EXPECT_GT(shipped, 0);
   EXPECT_LT(shipped, scanned);
   EXPECT_GT(replies, 0);
+  // The move-search and merge-exchange counters travel in the same report.
+  const auto json = result.report.to_json();
+  EXPECT_NE(json.find("\"moves.skipped_unsynced\""), std::string::npos);
+  EXPECT_NE(json.find("\"comm.packed_exchanges\""), std::string::npos);
 }
 
 TEST(Logging, SinkCapturesLevelAndThreadRank) {

@@ -448,6 +448,7 @@ TEST_F(TransportCli, RejectsMalformedNumericArguments) {
       {"--seed -3", "--seed"},
       {"--seed 1x", "--seed"},
       {"--threads 1.5", "--threads"},
+      {"--algo dist --threads 4", "--threads"},  // dist is one thread per rank
       {"--watchdog-ms nope", "--watchdog-ms"},
       {"--transport pigeon", "--transport"},
   };

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "comm/mailbox.hpp"
@@ -24,19 +25,28 @@ namespace {
 
 // --- threadpool ------------------------------------------------------------
 // Nested dispatch: a slot re-entering run_slots degrades to run_inline on the
-// calling thread. The seeded mutation ("threadpool.nested-slot-seconds",
-// inside ThreadPool::run_inline) re-introduces the PR 6 bug where the nested
-// inline pass recorded per-slot times into slot_seconds_ while the *outer*
-// dispatch's workers still owned their entries — a data race the pool fixed
-// by not recording times on the nested path.
+// calling thread while the outer dispatch's worker runs slot 1, which throws.
+// The seeded mutation ("threadpool.nested-errors-reset", inside
+// ThreadPool::run_inline) makes the nested inline pass reset the per-slot
+// error slots like a top-level dispatch — a nested pass writing per-slot
+// state the outer workers still own, the bug class the pool once had on its
+// per-slot timings — caught as a data race on errors_[1] against the worker
+// capturing its exception.
 void threadpool_harness(Context& ctx) {
   util::ThreadPool pool(2);
   std::vector<int> ran(2, 0);
-  pool.run_slots([&](int slot) {
-    if (slot == 0) pool.run_slots([](int) {});  // nested -> run_inline
-    ran[static_cast<std::size_t>(slot)] = 1;
-  });
+  bool rethrown = false;
+  try {
+    pool.run_slots([&](int slot) {
+      if (slot == 0) pool.run_slots([](int) {});  // nested -> run_inline
+      ran[static_cast<std::size_t>(slot)] = 1;
+      if (slot == 1) throw std::runtime_error("slot 1");
+    });
+  } catch (const std::runtime_error&) {
+    rethrown = true;
+  }
   ctx.check(ran[0] == 1 && ran[1] == 1, "every slot ran exactly once");
+  ctx.check(rethrown, "slot 1's exception reached the caller");
 }
 
 // --- mailbox ---------------------------------------------------------------
@@ -149,8 +159,8 @@ void worklist_harness(Context& ctx) {
 const std::vector<Harness>& harnesses() {
   static const std::vector<Harness> kHarnesses = {
       {"threadpool",
-       "ThreadPool nested run_slots -> run_inline; per-slot timing ownership",
-       "threadpool.nested-slot-seconds", &threadpool_harness},
+       "ThreadPool nested run_slots -> run_inline; per-slot error ownership",
+       "threadpool.nested-errors-reset", &threadpool_harness},
       {"mailbox",
        "Mailbox multi-consumer (source, tag) channel + timed-recv watchdog",
        "mailbox.notify-one", &mailbox_harness},
