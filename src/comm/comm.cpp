@@ -159,6 +159,9 @@ Message Comm::recv_with_recovery(int source, int tag) {
           continue;  // the pristine copy is on its way
         }
         consumed_.note(*msg);
+        // Sweep copies of consumed frames out of the inbox now: a duplicate
+        // on a collective tag is never matched by a later receive.
+        counters_.dup_frames_dropped += transport_->discard_consumed(consumed_);
       }
       transport_->note_progress();
       // Only a consumed frame gets a flow stamp — dedup-dropped duplicates

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -43,6 +44,13 @@ class Mailbox {
 
   /// Non-blocking probe: true if a matching message is queued.
   bool probe(int source, int tag) DI_EXCLUDES(mutex_);
+
+  /// Remove every queued message `stale` accepts; returns how many.
+  template <typename Pred>
+  std::size_t discard_if(Pred stale) DI_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    return static_cast<std::size_t>(std::erase_if(queue_, stale));
+  }
 
   /// Wake all blocked receivers with CommAborted; subsequent deliver/recv throw.
   void poison() DI_EXCLUDES(mutex_);

@@ -228,6 +228,10 @@ class InprocTransport final : public Transport {
                m.source, rank_, m.tag,
                consumed.seqs[static_cast<std::size_t>(m.source)]) < m.seq;
   }
+  std::size_t discard_consumed(const ConsumedFrames& consumed) override {
+    return runtime_->mailbox(rank_).discard_if(
+        [&](const Message& m) { return consumed.contains(m); });
+  }
 
   void note_progress() override { runtime_->note_progress(rank_); }
   void set_waiting(bool waiting) override {

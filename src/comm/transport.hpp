@@ -142,6 +142,11 @@ class Transport {
   /// receiver's gap detector.
   [[nodiscard]] virtual bool gap_before(const Message& m,
                                         const ConsumedFrames& consumed) = 0;
+  /// Drop every queued frame whose seq `consumed` already holds — injected
+  /// duplicates and re-delivered copies of frames that arrived after all —
+  /// and return how many. Collective tags are never reused, so such a frame
+  /// on a collective tag would otherwise sit in the inbox unseen.
+  virtual std::size_t discard_consumed(const ConsumedFrames& consumed) = 0;
 
   // ---- liveness ----------------------------------------------------------
   /// Called by Comm on every real transport event (send, consumed recv) and
