@@ -161,7 +161,7 @@ inline double modeled_total_seconds(const core::DistInfomapResult& result,
   return total;
 }
 
-/// Modeled seconds of one stage (0 = with delegates, 1 = merged levels).
+/// Modeled seconds of one stage (0 = with delegates, 1 = the rank-0 finish).
 inline double modeled_stage_seconds(const core::DistInfomapResult& result,
                                     int stage,
                                     const perf::CostModel& model = {}) {

@@ -39,9 +39,10 @@ int main() {
                 util::with_commas(static_cast<std::uint64_t>(s2.max)).c_str(),
                 s2.imbalance);
 
-    // Observed balance: the static arc counts above predict the workload; the
-    // flight recorder's run report verifies it with the arcs each rank
-    // actually scanned during a delegate-partitioned run.
+    // Observed balance: the static arc counts above predict the stage-1
+    // workload; the flight recorder's run report verifies it with the arcs
+    // each rank actually scanned in stage 1 of a delegate-partitioned run
+    // (stage 2 runs on rank 0 alone, DESIGN.md §17).
     core::DistInfomapConfig cfg;
     cfg.num_ranks = p;
     cfg.obs.enabled = true;
@@ -49,8 +50,7 @@ int main() {
     std::vector<std::uint64_t> scanned(static_cast<std::size_t>(p), 0);
     for (int r = 0; r < p; ++r)
       scanned[static_cast<std::size_t>(r)] =
-          rep.stage_work[0][static_cast<std::size_t>(r)].arcs_scanned +
-          rep.stage_work[1][static_cast<std::size_t>(r)].arcs_scanned;
+          rep.stage_work[0][static_cast<std::size_t>(r)].arcs_scanned;
     const auto so = util::summarize_counts(scanned);
     std::printf("observed arcs scanned (run report): max %s, imb %.2fx\n",
                 util::with_commas(static_cast<std::uint64_t>(so.max)).c_str(),

@@ -1,5 +1,5 @@
 // Figure 9: total clustering time vs rank count, split into stage 1 (with
-// delegates) and stage 2 (merged-graph levels). Reported in modeled time
+// delegates) and stage 2 (the merged graph, finished on rank 0). Reported in modeled time
 // (per-rank work counters through the α-β model; see DESIGN.md S9) with wall
 // time for reference — threads on one core cannot show real multi-node
 // scaling, but the counter-exact model reproduces the inverse-p shape.

@@ -108,6 +108,15 @@ struct MoveScratch {
   std::vector<SlotScratch> slots;
   std::vector<std::uint32_t> stale_stamp;
   std::uint32_t pass_epoch = 0;
+  std::uint64_t delta_evals = 0;  ///< ΔL evaluations (cost-model input)
+
+  explicit MoveScratch(const InfomapConfig& config)
+      : use_memo(config.plogp_memo) {
+    if (config.num_threads > 1) {
+      pool = std::make_unique<util::ThreadPool>(config.num_threads);
+      slots.resize(static_cast<std::size_t>(config.num_threads));
+    }
+  }
 };
 
 /// Candidate argmin for one vertex over (module, flow) pairs delivered in the
@@ -133,6 +142,7 @@ bool select_best(const FlowGraph& fg, const LevelState& state, VertexId u,
     d.q_total = state.terms.q_total;
     const MoveOutcome out = scratch.use_memo ? evaluate_move(d, scratch.memo)
                                              : evaluate_move(d);
+    ++scratch.delta_evals;
     if (out.delta_codelength < best_delta - 1e-15 ||
         (out.delta_codelength < best_delta + 1e-15 && mod < best_target)) {
       best_delta = out.delta_codelength;
@@ -275,52 +285,47 @@ std::uint64_t move_pass(const FlowGraph& fg, LevelState& state,
   return moves;
 }
 
-}  // namespace
-
-InfomapResult sequential_infomap(const graph::Csr& graph,
-                                 const InfomapConfig& config) {
-  DINFOMAP_REQUIRE_MSG(graph.num_vertices() > 0, "empty graph");
-  FlowGraph fg = make_flow_graph(graph);
-  const bool keep_level0 = config.fine_tune || config.coarse_tune;
-  const FlowGraph level0 = keep_level0 ? fg : FlowGraph{};
-
+/// Algorithm 1's level loop (lines 9–31): move passes until one moves
+/// nothing, contract, repeat. The one implementation behind
+/// sequential_infomap and infomap_levels.
+InfomapResult level_loop(const FlowGraph& input, const InfomapConfig& config,
+                         MoveScratch& scratch) {
+  const FlowGraph* fg = &input;
+  FlowGraph coarser;  // the current level once the input is contracted
   InfomapResult result;
-  result.assignment.resize(graph.num_vertices());
+  result.assignment.resize(input.num_vertices());
   std::iota(result.assignment.begin(), result.assignment.end(), 0);
 
   double prev_codelength = 0;
   {
     LevelState probe;
-    probe.init_singletons(fg);
+    probe.init_singletons(input);
     result.singleton_codelength = probe.terms.codelength();
     prev_codelength = result.singleton_codelength;
   }
 
   util::Xoshiro256 rng(config.seed);
-  MoveScratch scratch;
-  scratch.use_memo = config.plogp_memo;
-  if (config.num_threads > 1) {
-    scratch.pool = std::make_unique<util::ThreadPool>(config.num_threads);
-    scratch.slots.resize(static_cast<std::size_t>(config.num_threads));
-  }
+  const std::uint64_t evals0 = scratch.delta_evals;
   for (int level = 0; level < config.max_outer_iterations; ++level) {
     LevelState state;
-    state.init_singletons(fg);
+    state.init_singletons(*fg);
 
     OuterIterationInfo info;
     info.level = level;
-    info.level_vertices = fg.num_vertices();
+    info.level_vertices = fg->num_vertices();
     info.codelength_before = state.terms.codelength();
 
-    std::vector<VertexId> order(fg.num_vertices());
+    std::vector<VertexId> order(fg->num_vertices());
     std::iota(order.begin(), order.end(), 0);
 
     for (int pass = 0; pass < config.max_inner_passes; ++pass) {
       util::deterministic_shuffle(order, rng);
       const std::uint64_t moves =
-          move_pass(fg, state, order, config.move_epsilon, scratch);
+          move_pass(*fg, state, order, config.move_epsilon, scratch);
       info.moves += moves;
       ++info.inner_passes;
+      result.work.arcs_scanned += fg->csr.num_arcs();
+      result.work.module_updates += 2 * moves;
       if (moves == 0) break;
     }
 
@@ -331,10 +336,11 @@ InfomapResult sequential_infomap(const graph::Csr& graph,
     // Project the level-0 assignment through this level's merge:
     // each entry currently names a fine vertex; fine_to_coarse maps a fine
     // vertex to the coarse vertex of its module.
-    CoarsenResult coarse = coarsen(fg, state.module_of);
+    CoarsenResult coarse = coarsen(*fg, state.module_of);
     for (auto& a : result.assignment) a = coarse.fine_to_coarse[a];
     result.level_assignments.push_back(result.assignment);
-    fg = std::move(coarse.graph);
+    coarser = std::move(coarse.graph);
+    fg = &coarser;
 
     const double improvement = prev_codelength - info.codelength_after;
     prev_codelength = info.codelength_after;
@@ -342,6 +348,24 @@ InfomapResult sequential_infomap(const graph::Csr& graph,
     if (info.num_modules == info.level_vertices) break;  // nothing merged
     if (level > 0 && improvement < config.theta) break;
   }
+  result.work.delta_evals = scratch.delta_evals - evals0;
+  return result;
+}
+
+}  // namespace
+
+InfomapResult infomap_levels(const FlowGraph& fg, const InfomapConfig& config) {
+  DINFOMAP_REQUIRE_MSG(fg.num_vertices() > 0, "empty flow graph");
+  MoveScratch scratch(config);
+  return level_loop(fg, config, scratch);
+}
+
+InfomapResult sequential_infomap(const graph::Csr& graph,
+                                 const InfomapConfig& config) {
+  DINFOMAP_REQUIRE_MSG(graph.num_vertices() > 0, "empty graph");
+  const FlowGraph level0 = make_flow_graph(graph);
+  MoveScratch scratch(config);
+  InfomapResult result = level_loop(level0, config, scratch);
 
   // Coarse-tuning (Rosvall's submodule refinement): split each module into
   // candidate submodules on its induced subnetwork, contract submodules to
@@ -478,12 +502,7 @@ graph::Partition cluster_flow_graph(const FlowGraph& fg,
   std::vector<VertexId> order(fg.num_vertices());
   std::iota(order.begin(), order.end(), 0);
   util::Xoshiro256 rng(config.seed);
-  MoveScratch scratch;
-  scratch.use_memo = config.plogp_memo;
-  if (config.num_threads > 1) {
-    scratch.pool = std::make_unique<util::ThreadPool>(config.num_threads);
-    scratch.slots.resize(static_cast<std::size_t>(config.num_threads));
-  }
+  MoveScratch scratch(config);
   for (int pass = 0; pass < config.max_inner_passes; ++pass) {
     util::deterministic_shuffle(order, rng);
     if (move_pass(fg, state, order, config.move_epsilon, scratch) == 0) break;

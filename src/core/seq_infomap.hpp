@@ -8,6 +8,7 @@
 #include "core/flowgraph.hpp"
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
+#include "perf/work_counters.hpp"
 
 namespace dinfomap::core {
 
@@ -67,6 +68,10 @@ struct InfomapResult {
   std::uint64_t fine_tune_moves = 0;
   /// Submodules relocated by the coarse-tuning sweep (0 when disabled).
   std::uint64_t coarse_tune_moves = 0;
+  /// Work of the level loop: arcs scanned, ΔL evaluations, and module-table
+  /// updates (two per move). The distributed engine charges it to rank 0's
+  /// stage-2 counters when it runs this loop there (DESIGN.md §7).
+  perf::WorkCounters work;
 
   [[nodiscard]] graph::VertexId num_modules() const {
     graph::VertexId k = 0;
@@ -77,6 +82,17 @@ struct InfomapResult {
 
 InfomapResult sequential_infomap(const graph::Csr& graph,
                                  const InfomapConfig& config = {});
+
+/// Algorithm 1's level loop (lines 9–31) on an existing FlowGraph: move
+/// passes until one moves nothing, contract, repeat; stop when a level merges
+/// nothing, when a level after the first improves L by less than θ, or after
+/// max_outer_iterations levels. Honors fg's node flows and self flows, so it
+/// runs on a level-0 graph and on an already contracted one alike.
+/// `assignment` maps fg's vertices to their final modules. sequential_infomap
+/// is make_flow_graph, this loop, and the optional tuning sweeps; the
+/// distributed engine runs it on rank 0 over the stage-1-contracted graph.
+InfomapResult infomap_levels(const FlowGraph& fg,
+                             const InfomapConfig& config = {});
 
 /// Evaluate L(M) of an arbitrary assignment on `fg` from scratch (no
 /// incremental state) — the reference the incremental path is tested against,

@@ -85,7 +85,9 @@ ProfileDigest build_profile(const Trace& trace) {
     std::vector<const char*> span_stack;
     int wait_depth = 0;
     double wait_open = 0;
+    bool wait_serial = false;  // the open wait sits directly in kSerialSpan
     double wait_total = 0;
+    double serial_total = 0;
     double wait_in_coll = 0;
     int coll_depth = 0;
     double coll_open = 0;
@@ -102,7 +104,11 @@ ProfileDigest build_profile(const Trace& trace) {
       switch (e.kind) {
         case TraceEvent::Kind::kBegin:
           if (is_recv_wait(e)) {
-            if (wait_depth++ == 0) wait_open = e.ts_us;
+            if (wait_depth++ == 0) {
+              wait_open = e.ts_us;
+              wait_serial = !span_stack.empty() &&
+                            std::strcmp(span_stack.back(), kSerialSpan) == 0;
+            }
           } else {
             span_stack.push_back(e.name);
           }
@@ -112,6 +118,7 @@ ProfileDigest build_profile(const Trace& trace) {
             if (wait_depth > 0 && --wait_depth == 0) {
               const double w = e.ts_us - wait_open;
               wait_total += w;
+              if (wait_serial) serial_total += w;
               if (coll_depth > 0) wait_in_coll += w;
             }
           } else if (!span_stack.empty()) {
@@ -145,11 +152,13 @@ ProfileDigest build_profile(const Trace& trace) {
     // charge the remainder of its track as wait.
     if (wait_depth > 0) {
       wait_total += last - wait_open;
+      if (wait_serial) serial_total += last - wait_open;
       if (coll_depth > 0) wait_in_coll += last - wait_open;
     }
     if (coll_depth > 0) coll_total += last - coll_open;
 
     rp.wait_us = wait_total;
+    rp.serial_wait_us = serial_total;
     rp.comm_us = std::max(0.0, coll_total - wait_in_coll);
     rp.compute_us = std::max(0.0, rp.wall_us - rp.wait_us - rp.comm_us);
     rp.busy_us = std::max(0.0, rp.wall_us - rp.wait_us);
@@ -310,17 +319,22 @@ std::vector<Anomaly> analyze_profile(const ProfileDigest& digest,
                                      const WatchdogOptions& options) {
   std::vector<Anomaly> out;
   for (const RankProfile& rp : digest.ranks) {
-    if (rp.wall_us < options.min_profile_wall_us) continue;
-    const double frac = rp.wall_us > 0 ? rp.wait_us / rp.wall_us : 0.0;
+    // Waiting for the rank that works alone in kSerialSpan is by design:
+    // judge the rest of the rank's wall time.
+    const double wall = rp.wall_us - rp.serial_wait_us;
+    if (wall < options.min_profile_wall_us) continue;
+    const double frac =
+        wall > 0 ? (rp.wait_us - rp.serial_wait_us) / wall : 0.0;
     if (frac > options.wait_dominated_threshold) {
       std::ostringstream os;
       os.precision(4);
       os << "rank " << rp.rank << " spent " << 100.0 * frac << "% of its "
-         << rp.wall_us / 1000.0 << " ms wall blocked in receives";
+         << wall / 1000.0 << " ms wall blocked in receives";
       out.push_back({rp.rank, 0, 0, "wait_dominated", os.str()});
     }
   }
   for (const PhaseProfile& ph : digest.phases) {
+    if (ph.name == kSerialSpan) continue;
     if (ph.wait_us < options.min_straggler_wait_us) continue;
     int culprit = -1;
     double caused = 0;
@@ -383,7 +397,9 @@ std::string ProfileDigest::to_json() const {
        << ", \"collective_wait_us\": " << num(rp.collective_wait_us)
        << ", \"comm_us\": " << num(rp.comm_us)
        << ", \"compute_us\": " << num(rp.compute_us)
-       << ", \"rank\": " << rp.rank << ", \"wait_us\": " << num(rp.wait_us)
+       << ", \"rank\": " << rp.rank
+       << ", \"serial_wait_us\": " << num(rp.serial_wait_us)
+       << ", \"wait_us\": " << num(rp.wait_us)
        << ", \"wall_us\": " << num(rp.wall_us) << "}";
   }
   os << "],\n";

@@ -23,6 +23,13 @@ namespace dinfomap::obs {
 
 inline constexpr const char* kProfileSchema = "dinfomap.profile/1";
 
+/// Span in which one rank computes alone by design while the others wait in
+/// a collective: the distributed Infomap's stage 2, finished on rank 0
+/// (DESIGN.md §17). Collectives directly inside it are exempt from the
+/// straggler rule, and receive waits directly inside it from the
+/// wait-dominance rule; both are recorded all the same.
+inline constexpr const char* kSerialSpan = "Stage2";
+
 /// One rank's wall-clock decomposition. The three segments tile the rank's
 /// wall time by construction: wait is measured (recv_wait spans), comm is
 /// measured (leaf-collective occupancy minus the wait nested inside it), and
@@ -34,6 +41,8 @@ struct RankProfile {
   double comm_us = 0;     ///< inside leaf collectives, minus contained wait
   double compute_us = 0;  ///< wall − wait − comm
   double busy_us = 0;     ///< wall − wait; critical path ≥ max over ranks
+  /// Part of wait_us spent in receives directly inside kSerialSpan.
+  double serial_wait_us = 0;
   /// Cross-rank skew share of this rank's wait: time between its arrival at
   /// a collective and the last rank's arrival, summed over collectives.
   double collective_wait_us = 0;
@@ -95,7 +104,8 @@ struct ProfileDigest {
 
 /// Watchdog rules over the digest: `wait_dominated` (a rank mostly blocked)
 /// and `straggler_skew` (one rank causing most of a phase's collective
-/// wait). Callers fold the findings into the recorder's anomaly list.
+/// wait), both blind to kSerialSpan. Callers fold the findings into the
+/// recorder's anomaly list.
 [[nodiscard]] std::vector<Anomaly> analyze_profile(
     const ProfileDigest& digest, const WatchdogOptions& options);
 

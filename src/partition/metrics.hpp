@@ -17,8 +17,10 @@ std::vector<std::uint64_t> arcs_per_rank(const ArcPartition& part);
 /// neither owned there nor delegates.
 std::vector<std::uint64_t> ghosts_per_rank(const ArcPartition& part);
 
-/// Structural audit used by tests: every CSR arc appears on exactly one rank,
-/// and (for delegate partitions) every low-degree source sits with its owner.
+/// Structural audit: the assigned arcs equal the graph's arcs as a multiset
+/// (every arc on exactly one rank, with its weight), and every low-degree
+/// source sits with its owner. O(V + E): arcs are bucketed by source using
+/// the graph's degrees.
 bool validate_partition(const ArcPartition& part, const GraphView& graph);
 bool validate_partition(const ArcPartition& part, const Csr& graph);
 

@@ -175,3 +175,79 @@ TEST_P(PartitionSweep, BothStrategiesValidateOnLfr) {
   EXPECT_TRUE(dp::validate_partition(dp::make_oned(csr, GetParam()), csr));
   EXPECT_TRUE(dp::validate_partition(dp::make_delegate(csr, GetParam()), csr));
 }
+
+// --- validate_partition rejects every kind of damage ------------------------
+
+namespace {
+
+/// A delegate partition of the scale-free graph with at least one arc
+/// whose source is low-degree on every rank.
+dp::ArcPartition valid_partition(const dg::Csr& g) {
+  auto part = dp::make_delegate(g, 4);
+  EXPECT_TRUE(dp::validate_partition(part, g));
+  return part;
+}
+
+/// Index of the first arc on `rank` whose source is not a delegate.
+std::size_t first_low_degree_arc(const dp::ArcPartition& part, int rank) {
+  const auto& arcs = part.rank_arcs[rank];
+  for (std::size_t i = 0; i < arcs.size(); ++i)
+    if (!part.delegate(arcs[i].source)) return i;
+  ADD_FAILURE() << "rank " << rank << " holds no low-degree arc";
+  return 0;
+}
+
+}  // namespace
+
+TEST(ValidatePartition, RejectsMissingArc) {
+  const auto g = scale_free();
+  auto part = valid_partition(g);
+  part.rank_arcs[1].pop_back();
+  EXPECT_FALSE(dp::validate_partition(part, g));
+}
+
+TEST(ValidatePartition, RejectsDuplicatedArc) {
+  const auto g = scale_free();
+  auto part = valid_partition(g);
+  // Keep the arc count: one arc appears twice, another not at all.
+  auto& arcs = part.rank_arcs[2];
+  ASSERT_GE(arcs.size(), 2u);
+  arcs.back() = arcs.front();
+  EXPECT_FALSE(dp::validate_partition(part, g));
+  // Appended instead, the count itself no longer matches.
+  auto appended = valid_partition(g);
+  appended.rank_arcs[2].push_back(appended.rank_arcs[2].front());
+  EXPECT_FALSE(dp::validate_partition(appended, g));
+}
+
+TEST(ValidatePartition, RejectsReweightedArc) {
+  const auto g = scale_free();
+  auto part = valid_partition(g);
+  part.rank_arcs[0][first_low_degree_arc(part, 0)].weight *= 2.0;
+  EXPECT_FALSE(dp::validate_partition(part, g));
+}
+
+TEST(ValidatePartition, RejectsLowDegreeArcOnWrongRank) {
+  const auto g = scale_free();
+  auto part = valid_partition(g);
+  // Same multiset of arcs, but one low-degree source's arc moves away from
+  // its owner.
+  const std::size_t i = first_low_degree_arc(part, 3);
+  part.rank_arcs[0].push_back(part.rank_arcs[3][i]);
+  part.rank_arcs[3].erase(part.rank_arcs[3].begin() +
+                          static_cast<std::ptrdiff_t>(i));
+  EXPECT_FALSE(dp::validate_partition(part, g));
+}
+
+TEST(ValidatePartition, ComparesParallelArcsAsAMultiset) {
+  // A hand-built CSR with two parallel 0-1 edges of different weights.
+  const dg::Csr g({0, 2, 4},
+                  {{1, 1.0}, {1, 2.0}, {0, 2.0}, {0, 1.0}},
+                  {0.0, 0.0});
+  auto part = dp::make_oned(g, 2);
+  EXPECT_TRUE(dp::validate_partition(part, g));
+  std::swap(part.rank_arcs[0][0], part.rank_arcs[0][1]);  // order is free
+  EXPECT_TRUE(dp::validate_partition(part, g));
+  part.rank_arcs[0][1].weight = 2.0;  // {2, 2} is not {1, 2}
+  EXPECT_FALSE(dp::validate_partition(part, g));
+}
